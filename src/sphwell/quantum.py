@@ -339,16 +339,27 @@ def total_radial_density(n, grid):
 def density_mass(values_fn, tol=1e-10, oscillations=None):
     """Quadrature of a vectorized density over [0, 1].
 
-    Adaptive by default.  When the caller knows the density's radial
-    oscillation count (2n for the level-n Bessel densities), passing it
-    switches to a batched composite rule with four panels per oscillation,
-    which is exact to rounding for these trig-by-polynomial integrands and
-    far cheaper: the batch Bessel sweep runs once per chunk instead of
-    once per adaptive panel.
+    Adaptive by default.  A caller that knows the density's band limit
+    passes ``oscillations``, the number of half-periods its top frequency
+    makes on [0, 1] (2n for the level-n densities).  That switches to one
+    batched composite GL15 call with max(8, ceil(oscillations / 4))
+    panels, i.e. ceil(n/2) at level n, so the batch Bessel sweep runs once
+    per slab instead of once per adaptive panel.
+
+    The panel count follows from the bandwidth.  j_l(kr) =
+    (1/2)(-i)^l int_{-1}^{1} e^{ikrt} P_l(t) dt is band-limited to
+    k = n pi, so every level-n density (J states, N0 = cos^2(kr)/k^2 up to
+    its constant, the l-means, the weighted total) is a degree-2
+    polynomial in r times a function band-limited to 2k = oscillations pi.
+    A panel of width h maps to [-1, 1] with top frequency omega = k h,
+    which ceil(n/2) panels hold to omega <= 2 pi.  GL15 integrates
+    cos(omega x) over [-1, 1] to 2.5e-16 at omega = 6 and to 7.7e-15 at
+    omega = 8, so the rule is accurate to rounding with margin; at
+    omega = 3 pi (n/3 panels) it is only good to ~1e-12 per panel.
     """
     if oscillations is None:
         return integrate(values_fn, 0.0, 1.0, tol)
-    return integrate_composite(values_fn, 0.0, 1.0, max(8, 2 * int(oscillations)))
+    return integrate_composite(values_fn, 0.0, 1.0, max(8, math.ceil(int(oscillations) / 4)))
 
 
 def centrifugal_expectation(n, l, tol=1e-10):

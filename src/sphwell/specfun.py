@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .numerics import NumericalError
+
 __all__ = [
     "ORDER_CEILING",
     "sph_bessel_j",
@@ -48,7 +50,7 @@ _SERIES_TABLE_CUTOFF = 0.5
 _SERIES_TERMS = 60
 
 
-class ZeroBracketError(RuntimeError):
+class ZeroBracketError(NumericalError):
     """Root refinement failed to converge (signals a bracketing bug)."""
 
 
@@ -308,6 +310,8 @@ def sph_bessel_n(l, x):
     ``x`` may be a float or ndarray; every element must be positive
     (n_l has a pole at the origin).  Computed by upward recurrence from
     n_0 = -cos(x)/x, which is stable because n_l dominates for growing l.
+    Raises NumericalError when the recurrence leaves the binary64 range
+    (|n_l(x)| grows like (2l-1)!!/x^(l+1), e.g. l = 300 at x = 1).
     """
     l = _check_order(l)
     scalar = np.isscalar(x)
@@ -319,9 +323,16 @@ def sph_bessel_n(l, x):
     n_prev = -np.cos(x) / x
     if l == 0:
         return float(n_prev) if scalar else n_prev
-    n_cur = n_prev / x - np.sin(x) / x
-    for m in range(1, l):
-        n_prev, n_cur = n_cur, (2 * m + 1) / x * n_cur - n_prev
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_cur = n_prev / x - np.sin(x) / x
+        for m in range(1, l):
+            n_prev, n_cur = n_cur, (2 * m + 1) / x * n_cur - n_prev
+    overflowed = ~np.isfinite(n_cur)
+    if overflowed.any():
+        raise NumericalError(
+            "n_l(x) overflows binary64 in the upward recurrence "
+            f"(l = {l}, first at x = {float(x[overflowed][0])!r})"
+        )
     return float(n_cur) if scalar else n_cur
 
 
@@ -422,7 +433,11 @@ _zero_cache = {}
 
 
 def _bisect_refine(l, lo, hi):
-    """Bisection to 1e-13 followed by two Newton polish steps."""
+    """Bisection to 1e-13 followed by two Newton polish steps.
+
+    Bisection also stops when the midpoint rounds to an endpoint: above
+    x = 512 one ulp (1.14e-13) is wider than the 1e-13 stop width.
+    """
     f_lo = sph_bessel_j(l, lo)
     f_hi = sph_bessel_j(l, hi)
     if f_lo == 0.0:
@@ -435,6 +450,8 @@ def _bisect_refine(l, lo, hi):
         if hi - lo <= 1e-13:
             break
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         f_mid = sph_bessel_j(l, mid)
         if f_mid == 0.0:
             lo = hi = mid

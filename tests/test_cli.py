@@ -1,10 +1,15 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sphwell
+from sphwell import cli
 from sphwell.cli import main
+from sphwell.specfun import ZeroBracketError
 
 
 def read(path):
@@ -222,10 +227,34 @@ class TestSpecfunEval:
     def test_neumann_pole_exit_one(self):
         assert main(["specfun", "eval", "--fn", "n", "--l", "0", "--x", "0"]) == 1
 
+    def test_neumann_overflow_exit_two(self, capsys):
+        assert main(["specfun", "eval", "--fn", "n", "--l", "300", "--x", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "l = 300" in captured.err
+
+    def test_zero_bracket_failure_exit_two(self, monkeypatch):
+        def failing_zero(l, k):
+            raise ZeroBracketError(f"bisection failed to converge for j_{l}")
+
+        monkeypatch.setattr(cli, "sph_bessel_zero", failing_zero)
+        assert main(["specfun", "eval", "--fn", "zero", "--l", "1", "--k", "170"]) == 2
+
     def test_flag_combinations(self):
         assert main(["specfun", "eval", "--fn", "j", "--l", "1", "--k", "2"]) == 1
         assert main(["specfun", "eval", "--fn", "zero", "--l", "1", "--x", "2.0"]) == 1
         assert main(["specfun", "eval", "--fn", "zero", "--l", "1"]) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sphwell.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "sphwell", "quantum", "level", "--n", "1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "l_max = 2" in proc.stdout
 
 
 class TestReproducibility:

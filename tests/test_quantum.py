@@ -186,18 +186,70 @@ class TestTotalDensity:
         np.testing.assert_array_equal(curve.values, qm.total_density_values(1, grid.points))
 
 
+class TestSizedMassRule:
+    """The bandwidth-sized composite rule behind the CLI's 1e-8 mass gate."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_adaptive_quadrature(self, n):
+        l_max = qm.allowed_l_max(n)
+        densities = [
+            lambda r: qm.total_density_values(n, r),
+            lambda r: qm.mean_density_values(n, 0, r),
+        ]
+        states = [qm.radial_state(n, 0, branch="N0")]
+        states += [qm.radial_state(n, l) for l in sorted({0, 1, l_max})]
+        densities += [lambda r, s=s: qm.state_density_values(s, r) for s in states]
+        for values_fn in densities:
+            sized = qm.density_mass(values_fn, oscillations=2 * n)
+            adaptive = qm.density_mass(values_fn, tol=1e-13)
+            assert abs(sized - adaptive) <= 1e-13
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_unit_mass_at_large_n(self, n):
+        # a rule with n/4 panels (top frequency 4 pi per panel) misses by 1.5e-9
+        state = qm.radial_state(n, 0)
+        mass = qm.density_mass(lambda r: qm.state_density_values(state, r),
+                               oscillations=2 * n)
+        assert abs(mass - 1.0) <= 1e-13
+
+
+def energy_balance(n, l):
+    """Wall term B = chi(1) chi'(1)/2 and kinetic term T = int chi'^2/2 of (n, l).
+
+    chi(r) = A r j_l(k r) has chi'(r) = A (k r j_{l-1}(k r) - l j_l(k r));
+    T comes from a quadrature ``centrifugal_expectation`` does not share.
+    """
+    k = n * PI
+    a2 = qm.normalization_constant_sq(n, l)
+    j = sf.sph_bessel_j_all(l, k)
+    boundary = 0.5 * a2 * j[l] * (k * j[l - 1] - l * j[l])
+
+    def chi_prime_sq(r):
+        tbl = sf.sph_bessel_j_table(l, k * r)
+        return (k * r * tbl[l - 1] - l * tbl[l]) ** 2
+
+    kinetic = 0.5 * a2 * nm.integrate(chi_prime_sq, 0.0, 1.0, 1e-10)
+    return boundary, kinetic
+
+
+def assert_energy_balance(n, l):
+    """l(l+1)/2 <= <cent> <= E + B and |<cent> + T - B - E| <= 1e-9 E."""
+    value = qm.centrifugal_expectation(n, l)
+    energy = (n * PI) ** 2 / 2
+    boundary, kinetic = energy_balance(n, l)
+    assert l * (l + 1) / 2 - 1e-8 <= value <= energy + boundary + 1e-8
+    assert abs(value + kinetic - boundary - energy) <= 1e-9 * energy
+
+
 class TestCentrifugalExpectation:
     @pytest.mark.parametrize("n,l", [(1, 1), (1, 2), (2, 3), (3, 7), (10, 29)])
     def test_sandwich_bounds(self, n, l):
-        value = qm.centrifugal_expectation(n, l)
-        assert l * (l + 1) / 2 - 1e-8 <= value
-        assert value <= (n * PI) ** 2 / 2 + 1e-8
+        assert_energy_balance(n, l)
 
     def test_every_allowed_l_at_low_levels(self):
         for n in [1, 2, 3]:
             for l in range(1, qm.allowed_l_max(n) + 1):
-                value = qm.centrifugal_expectation(n, l)
-                assert l * (l + 1) / 2 - 1e-8 <= value <= (n * PI) ** 2 / 2 + 1e-8
+                assert_energy_balance(n, l)
 
     def test_lower_bound_always_holds(self):
         for n in [1, 2, 3, 10]:
@@ -213,16 +265,7 @@ class TestCentrifugalExpectation:
         value = qm.centrifugal_expectation(10, 30)
         assert value == pytest.approx(505.55622013372, rel=1e-9)
         assert value > (10 * PI) ** 2 / 2
-        n, l, k = 10, 30, 10 * PI
-        a2 = qm.normalization_constant_sq(n, l)
-        j = sf.sph_bessel_j_all(l, k)
-        boundary = 0.5 * a2 * j[l] * (k * j[l - 1] - l * j[l])
-
-        def chi_prime_sq(r):
-            tbl = sf.sph_bessel_j_table(l, k * r)
-            return (k * r * tbl[l - 1] - l * tbl[l]) ** 2
-
-        kinetic = 0.5 * a2 * nm.integrate(chi_prime_sq, 0.0, 1.0, 1e-10)
+        boundary, kinetic = energy_balance(10, 30)
         assert boundary == pytest.approx(69.5423168400653, rel=1e-9)
         assert kinetic == pytest.approx(57.4663167608134, rel=1e-9)
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.special as sps
 
 from sphwell import specfun as sf
+from sphwell.numerics import NumericalError
 
 PI = math.pi
 
@@ -141,6 +142,13 @@ class TestSphBesselN:
     def test_array_argument(self):
         x = np.array([0.5, 1.0, 2.0])
         np.testing.assert_allclose(sf.sph_bessel_n(2, x), sps.spherical_yn(2, x), rtol=1e-12)
+
+    def test_overflow_raises(self):
+        # |n_300(1)| ~ 599!! is far beyond binary64; it used to come back NaN
+        with pytest.raises(NumericalError, match=r"l = 300, first at x = 1\.0\b"):
+            sf.sph_bessel_n(300, 1.0)
+        with pytest.raises(NumericalError, match=r"first at x = 0\.5\b"):
+            sf.sph_bessel_n(300, np.array([400.0, 0.5, 1.0]))
 
 
 class TestWronskian:
@@ -300,6 +308,14 @@ class TestSphBesselZero:
         for l, k in [(1, 1), (2, 3), (5, 2), (9, 7)]:
             beta = sf.sph_bessel_zero(l, k)
             assert abs(sps.jv(l + 0.5, beta)) < 1e-13
+
+    @pytest.mark.parametrize("l,k", [(1, 163), (1, 170), (3, 200)])
+    def test_zeros_above_512_against_mpmath(self, l, k):
+        # one ulp above 512 is wider than the bisection's 1e-13 stop width
+        mp = pytest.importorskip("mpmath")
+        want = float(mp.besseljzero(l + 0.5, k))
+        assert want > 512
+        assert sf.sph_bessel_zero(l, k) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
