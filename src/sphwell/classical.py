@@ -35,7 +35,6 @@ __all__ = [
     "MC_MODES",
     "MC_BLOCK",
     "McConfig",
-    "ChordSample",
     "p_sigma",
     "p_sigma_mass",
     "angular_momentum_weight",
@@ -198,15 +197,6 @@ class McConfig:
             raise ValueError("r_max must lie in (0, 1]")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class ChordSample:
-    """One Monte Carlo draw: r = sqrt(t^2 + sigma^2) with t along the chord."""
-
-    sigma: float
-    t: float
-    r: float
 
 
 def draw_chords(rng, count, mode):

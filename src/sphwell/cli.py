@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from . import classical, quantum
-from .numerics import NumericalError, curve_distance, uniform_grid
+from .numerics import DensityCurve, NumericalError, curve_distance, uniform_grid
 from .specfun import sph_bessel_j, sph_bessel_n, sph_bessel_zero
 
 __all__ = ["main", "run"]
@@ -270,19 +270,19 @@ def cmd_compare(args):
     out = _require_out(args)
     n_list = _parse_n_list(args.n_list)
     grid = uniform_grid(args.r_max, args.grid_points)
-    classical_curve = classical.classical_total_density(grid.points)
+    classical_curve = DensityCurve(grid, classical.classical_total_density(grid.points))
     stem, ext = os.path.splitext(out)
     ext = ext or ".csv"
-    _write_csv(stem + "_classical" + ext, ("r", "density"), zip(grid.points, classical_curve))
+    _write_csv(stem + "_classical" + ext, ("r", "density"),
+               zip(grid.points, classical_curve.values))
     rows = []
     for n in n_list:
         spec = quantum.level_spec(n)
-        values = quantum.total_density_values(n, grid.points)
-        diff = np.abs(values - classical_curve)
-        l1 = float(np.trapezoid(diff, grid.points))
-        sup = float(diff.max())
-        rows.append((n, spec.l_max, spec.degeneracy, l1, sup))
-        _write_csv(stem + f"_n{n}" + ext, ("r", "density"), zip(grid.points, values))
+        curve = quantum.total_radial_density(n, grid)
+        rows.append((n, spec.l_max, spec.degeneracy,
+                     curve_distance(curve, classical_curve, "l1"),
+                     curve_distance(curve, classical_curve, "sup")))
+        _write_csv(stem + f"_n{n}" + ext, ("r", "density"), zip(grid.points, curve.values))
     _write_csv(out, ("n", "l_max", "degeneracy", "l1_distance", "sup_distance"), rows)
     headline = {"l1": 3, "sup": 4}[args.metric]
     for row in rows:

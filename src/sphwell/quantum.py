@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DensityCurve, NumericalError, integrate, integrate_composite
-from .specfun import sph_bessel_j_all, sph_bessel_j_table, sph_bessel_n, sph_bessel_zero
+from .specfun import sph_bessel_j_all, sph_bessel_j_table, sph_bessel_zero
 
 __all__ = [
     "WELL_RADIUS",
@@ -267,12 +267,9 @@ def state_density_values(state, r):
         jl = _chunked_table_row(l, x)
         return a2 * jl * jl * r * r
     if branch == "N0":
-        out = np.empty_like(r)
-        pos = r > 0
-        n0 = sph_bessel_n(0, x[pos])
-        out[pos] = a2 * n0 * n0 * r[pos] ** 2
-        out[~pos] = a2 / (k * k)  # r^2 cancels the pole; cos(0)^2 = 1
-        return out
+        # n_0(x)^2 r^2 = cos(x)^2 / k^2: r^2 cancels the pole, and n_0^2 alone
+        # would overflow while r^2 underflows at tiny r
+        return a2 * np.cos(x) ** 2 / (k * k)
     # H1/H2: |h0(x)|^2 = 1/x^2, so a2 |h0|^2 r^2 = a2/k^2 = 1
     return np.ones_like(r)
 

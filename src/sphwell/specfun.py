@@ -4,18 +4,20 @@ Stable evaluation of the spherical Bessel functions j_l and n_l, the
 order-zero spherical Hankel functions, associated Legendre functions,
 complex spherical harmonics, and positive zeros of j_l.
 
-Evaluation strategy for j_l(x):
+``sph_bessel_j_table`` is the only evaluator of j_l; the scalar
+``sph_bessel_j``, ``sph_bessel_j_all`` and the zero finder all call it.
+It fills every order 0 .. l_max at once and picks a regime per point:
 
-* ascending power series for ``x < 0.5`` or ``x < 0.1 * l`` (upward
-  recurrence would be catastrophically unstable there, and any series
-  cancellation stays harmless wherever the result is representable);
-* upward recurrence from the closed forms of j_0, j_1 when ``x > l``
+* ascending power series (60 terms) for ``0 < x < 0.5``, with the
+  prefactor x^l/(2l+1)!! carried in log space so deep-evanescent values
+  underflow to zero instead of raising;
+* upward recurrence from the closed forms of j_0, j_1 when ``x >= l_max``
   (stable while the order stays below the argument);
 * Miller's downward recurrence otherwise: start at order
-  ``l + max(20, ceil(sqrt(40 l)))``, seed with (0, 1), recur down, and
-  renormalize against the closed form of j_0 (or j_1 when j_0 sits near a
-  zero of sin).  The raw sweep is rescaled by 1e-280 whenever it grows past
-  1e+280 so it never overflows.
+  ``l_max + max(20, ceil(sqrt(40 l_max)))``, seed with (0, 1), recur down,
+  and renormalize against the closed form of j_0 (or j_1 when j_0 sits
+  near a zero of sin).  The raw sweep is rescaled by 1e-280 whenever it
+  grows past 1e+280 so it never overflows.
 
 Deep evanescent values (l much larger than x) may underflow to exactly
 zero; callers that sum densities can ignore them at grid resolution.
@@ -78,76 +80,6 @@ def _ln_odd_double_factorial(l):
     return math.lgamma(2 * l + 2) - l * math.log(2.0) - math.lgamma(l + 1)
 
 
-def _series_j(l, x):
-    """Ascending series j_l(x) = x^l/(2l+1)!! * sum_k (-x^2/2)^k / (k! prod(2l+3..2l+2k+1)).
-
-    The prefactor is carried in log space so the deep-evanescent underflow
-    to zero happens gracefully instead of raising.
-    """
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    y = 0.5 * x * x
-    term = 1.0
-    total = 1.0
-    for k in range(1, 201):
-        term *= -y / (k * (2 * l + 2 * k + 1))
-        total += term
-        # terms may first grow when x^2 > 2(2l+3); only stop past the peak
-        if abs(term) <= 1e-18 * abs(total) and k * (2 * l + 2 * k + 1) > y:
-            break
-    if total == 0.0:
-        return 0.0
-    ln_mag = l * math.log(x) - _ln_odd_double_factorial(l) + math.log(abs(total))
-    if ln_mag < -745.2:
-        return 0.0
-    return math.copysign(math.exp(ln_mag), total)
-
-
-def _upward_j(l, x):
-    j_prev = math.sin(x) / x
-    if l == 0:
-        return j_prev
-    j_cur = j_prev / x - math.cos(x) / x
-    for m in range(1, l):
-        j_prev, j_cur = j_cur, (2 * m + 1) / x * j_cur - j_prev
-    return j_cur
-
-
-def _miller_pad(l):
-    return max(20, math.ceil(math.sqrt(40.0 * l)))
-
-
-def _miller_j(l, x):
-    """Downward recurrence from order l + pad, normalized against j_0 or j_1."""
-    start = l + _miller_pad(l)
-    j_up = 0.0  # order m+1
-    j_cur = 1.0  # order m
-    raw_l = None  # captured during the sweep (start > l always)
-    raw_1 = None
-    for m in range(start, 0, -1):
-        j_up, j_cur = j_cur, (2 * m + 1) / x * j_cur - j_up
-        # j_cur now holds order m-1
-        if abs(j_cur) > _OVERFLOW_GUARD:
-            j_cur *= _RESCALE
-            j_up *= _RESCALE
-            if raw_l is not None:
-                raw_l *= _RESCALE
-            if raw_1 is not None:
-                raw_1 *= _RESCALE
-        if m - 1 == l:
-            raw_l = j_cur
-        if m - 1 == 1:
-            raw_1 = j_cur
-    raw_0 = j_cur
-    j0 = math.sin(x) / x
-    j1 = j0 / x - math.cos(x) / x
-    if abs(j0) >= abs(j1) and raw_0 != 0.0:
-        scale = j0 / raw_0
-    else:
-        scale = j1 / raw_1
-    return raw_l * scale
-
-
 def sph_bessel_j(l, x):
     """Spherical Bessel function of the first kind, j_l(x).
 
@@ -161,20 +93,17 @@ def sph_bessel_j(l, x):
     Returns
     -------
     float
-        j_l(x), with relative error below 1e-12 for l <= 5000, x <= 5000.
-        Values that fall below the binary64 range underflow to 0.0.
+        j_l(x), row l of ``sph_bessel_j_table(l, [x])``: relative error
+        below 1e-12 for l <= 5000, x <= 5000 away from the zeros of j_l.
+        Values that fall below the binary64 range underflow to 0.0.  One
+        point costs a whole sweep over orders 0 .. l (O(l) numpy steps),
+        so evaluate many points with ``sph_bessel_j_table``.
     """
     l = _check_order(l)
     x = _check_argument(x)
     if x < 0:
         raise ValueError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    if x < 0.5 or x < 0.1 * l:
-        return _series_j(l, x)
-    if x > l:
-        return _upward_j(l, x)
-    return _miller_j(l, x)
+    return float(sph_bessel_j_table(l, np.array([x]))[l, 0])
 
 
 def sph_bessel_j_all(l_max, x):
@@ -250,6 +179,10 @@ def _upward_rows(l_max, x):
     return out
 
 
+def _miller_pad(l):
+    return max(20, math.ceil(math.sqrt(40.0 * l)))
+
+
 def _miller_rows(l_max, x):
     """Vectorized Miller sweep over columns of x.
 
@@ -310,21 +243,21 @@ def sph_bessel_n(l, x):
     ``x`` may be a float or ndarray; every element must be positive
     (n_l has a pole at the origin).  Computed by upward recurrence from
     n_0 = -cos(x)/x, which is stable because n_l dominates for growing l.
-    Raises NumericalError when the recurrence leaves the binary64 range
-    (|n_l(x)| grows like (2l-1)!!/x^(l+1), e.g. l = 300 at x = 1).
+    Raises NumericalError when the value leaves the binary64 range
+    (|n_l(x)| grows like (2l-1)!!/x^(l+1): l = 300 at x = 1, or l = 0
+    below x = 5.6e-309).
     """
     l = _check_order(l)
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise ValueError("argument must not be NaN")
+    if not np.isfinite(x).all():
+        raise ValueError("argument must be finite and not NaN")
     if (x <= 0).any():
         raise ValueError("n_l(x) requires x > 0 (pole at x = 0)")
-    n_prev = -np.cos(x) / x
-    if l == 0:
-        return float(n_prev) if scalar else n_prev
-    with np.errstate(over="ignore", invalid="ignore"):
-        n_cur = n_prev / x - np.sin(x) / x
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n_cur = -np.cos(x) / x
+        if l >= 1:
+            n_prev, n_cur = n_cur, n_cur / x - np.sin(x) / x
         for m in range(1, l):
             n_prev, n_cur = n_cur, (2 * m + 1) / x * n_cur - n_prev
     overflowed = ~np.isfinite(n_cur)
@@ -428,58 +361,78 @@ def sph_harmonic(l, m, theta, phi):
     )
 
 
-# Cache of computed zeros, filled by the interlacing ladder.
-_zero_cache = {}
+# Zero scan (see sph_bessel_zero): a cell holds at most one zero, and a
+# window of cells bounds each table at (l+1) x (_SCAN_WINDOW+1) doubles.
+_SCAN_CELL = 0.5 * math.pi
+_SCAN_WINDOW = 64
+_NEWTON_ITERATIONS = 100
+
+# Per order l >= 1: (zeros found so far in ascending order, x where the scan stopped).
+_zero_scan = {}
 
 
-def _bisect_refine(l, lo, hi):
-    """Bisection to 1e-13 followed by two Newton polish steps.
+def _refine_zeros(l, lo, hi, f_lo, f_hi):
+    """Zeros of j_l in the sign-change brackets [lo_i, hi_i], refined together.
 
-    Bisection also stops when the midpoint rounds to an endpoint: above
-    x = 512 one ulp (1.14e-13) is wider than the 1e-13 stop width.
+    Starts from the chord through (lo, f_lo) and (hi, f_hi), then takes
+    safeguarded Newton steps with j_l' = j_{l-1} - (l+1)/x j_l, both rows
+    from one table call per step; a step that would leave the bracket is
+    replaced by bisection.  A root stops once its step is at most 2 ulp.
+    ``lo`` and ``hi`` are narrowed in place.
     """
-    f_lo = sph_bessel_j(l, lo)
-    f_hi = sph_bessel_j(l, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise ZeroBracketError(f"no sign change for j_{l} on [{lo}, {hi}]")
-    for _ in range(200):
-        if hi - lo <= 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = sph_bessel_j(l, mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    else:
-        raise ZeroBracketError(f"bisection failed to converge for j_{l}")
-    root = 0.5 * (lo + hi)
-    for _ in range(2):
-        f = sph_bessel_j(l, root)
-        fp = sph_bessel_j(l - 1, root) - (l + 1) / root * f
-        step = f / fp
-        if abs(step) < 1.0:
-            root -= step
-    return root
+    root = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    sign_lo = np.sign(f_lo)
+    active = np.arange(root.size)
+    for _ in range(_NEWTON_ITERATIONS):
+        if active.size == 0:
+            return root
+        x = root[active]
+        rows = sph_bessel_j_table(l, x)
+        f = rows[l]
+        same = np.sign(f) == sign_lo[active]
+        lo[active] = np.where(same, x, lo[active])
+        hi[active] = np.where(same, hi[active], x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / (rows[l - 1] - (l + 1) / x * f)
+        new = x - step
+        outside = ~((new >= lo[active]) & (new <= hi[active]))
+        new = np.where(outside, 0.5 * (lo[active] + hi[active]), new)
+        root[active] = new
+        done = np.abs(new - x) <= 2.0 * np.spacing(x)
+        active = active[~done]
+    raise ZeroBracketError(
+        f"zero refinement for j_{l} did not converge in {_NEWTON_ITERATIONS} steps "
+        f"(brackets from x = {float(lo[active[0]])!r})"
+    )
+
+
+def _scan_window(l, start):
+    """Zeros of j_l in (start, start + _SCAN_WINDOW cells], ascending.
+
+    A grid point where j_l is exactly zero is a zero; the sign change
+    across it is the same zero, so brackets join only adjacent points.
+    """
+    x = start + _SCAN_CELL * np.arange(_SCAN_WINDOW + 1)
+    f = sph_bessel_j_table(l, x)[l]
+    s = np.sign(f)
+    exact = np.flatnonzero(s[1:] == 0) + 1
+    left = np.flatnonzero(s[:-1] * s[1:] < 0)
+    right = left + 1
+    zeros = np.concatenate([x[exact], _refine_zeros(l, x[left], x[right], f[left], f[right])])
+    return np.sort(zeros).tolist(), float(x[-1])
 
 
 def sph_bessel_zero(l, k):
     """k-th positive zero of the spherical Bessel function j_l.
 
-    Zeros of j_0 are exactly k*pi.  For l >= 1 the bracket for the k-th
-    zero comes from the interlacing property
-    ``z(l-1, k) < z(l, k) < z(l-1, k+1)``, walked up from the known j_0
-    zeros, so each bracket is certain; bisection plus two Newton steps
-    refine it.  Results are cached.
+    Zeros of j_0 are exactly k*pi.  For l >= 1 the zeros lie above l + 1/2
+    (DLMF 10.21(i)) and consecutive ones are more than pi apart (Watson,
+    Treatise on the Theory of Bessel Functions, ch. XV), so a scan upward
+    from x = l in cells of width pi/2 finds each zero as exactly one sign
+    change, always in the table's upward regime.  The scan runs in windows
+    of 64 cells; each window's brackets are refined together by
+    safeguarded Newton steps.  Zeros found so far and the point where the
+    scan stopped are cached per order, so a larger k resumes the scan.
     """
     l = _check_order(l)
     if not isinstance(k, (int, np.integer)) or k < 1:
@@ -487,19 +440,9 @@ def sph_bessel_zero(l, k):
     k = int(k)
     if l == 0:
         return k * math.pi
-    key = (l, k)
-    if key in _zero_cache:
-        return _zero_cache[key]
-    # ladder: level j needs zeros k .. k+(l-j)
-    prev = [m * math.pi for m in range(k, k + l + 1)]  # level 0
-    for j in range(1, l + 1):
-        need = l - j + 1
-        cur = []
-        for i in range(need):
-            z = _zero_cache.get((j, k + i))
-            if z is None:
-                z = _bisect_refine(j, prev[i], prev[i + 1])
-                _zero_cache[(j, k + i)] = z
-            cur.append(z)
-        prev = cur
-    return _zero_cache[key]
+    zeros, stop = _zero_scan.get(l, ([], float(l)))
+    while len(zeros) < k:
+        found, stop = _scan_window(l, stop)
+        zeros = zeros + found
+        _zero_scan[l] = (zeros, stop)
+    return zeros[k - 1]

@@ -9,6 +9,7 @@ import pytest
 import sphwell
 from sphwell import cli
 from sphwell.cli import main
+from sphwell.numerics import DensityCurve, RadialGrid, curve_distance
 from sphwell.specfun import ZeroBracketError
 
 
@@ -186,6 +187,23 @@ class TestCompare:
         assert (tmp_path / "cmp_n2.csv").exists()
         assert (tmp_path / "cmp_classical.csv").exists()
 
+    def test_report_columns_are_curve_distances(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--n-list", "1,3", "--grid-points", "200",
+                     "--out", str(out)]) == 0
+
+        def curve(path):
+            _, data = rows(path)
+            r, density = np.array(data).T
+            return DensityCurve(RadialGrid(r), density)
+
+        classical = curve(tmp_path / "cmp_classical.csv")
+        _, data = rows(out)
+        for row in data:
+            quantum = curve(tmp_path / f"cmp_n{int(row[0])}.csv")
+            assert row[3] == curve_distance(quantum, classical, "l1")
+            assert row[4] == curve_distance(quantum, classical, "sup")
+
     def test_single_level_single_row(self, tmp_path):
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--n-list", "1", "--grid-points", "40",
@@ -226,6 +244,7 @@ class TestSpecfunEval:
 
     def test_neumann_pole_exit_one(self):
         assert main(["specfun", "eval", "--fn", "n", "--l", "0", "--x", "0"]) == 1
+        assert main(["specfun", "eval", "--fn", "n", "--l", "0", "--x", "inf"]) == 1
 
     def test_neumann_overflow_exit_two(self, capsys):
         assert main(["specfun", "eval", "--fn", "n", "--l", "300", "--x", "1.0"]) == 2
@@ -233,9 +252,16 @@ class TestSpecfunEval:
         assert captured.out == ""
         assert "l = 300" in captured.err
 
+    def test_neumann_order_zero_overflow_exit_two(self, capsys):
+        # n_0(1e-310) = -cos(x)/x is beyond binary64; it used to print -inf
+        assert main(["specfun", "eval", "--fn", "n", "--l", "0", "--x", "1e-310"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "l = 0" in captured.err
+
     def test_zero_bracket_failure_exit_two(self, monkeypatch):
         def failing_zero(l, k):
-            raise ZeroBracketError(f"bisection failed to converge for j_{l}")
+            raise ZeroBracketError(f"zero refinement for j_{l} did not converge")
 
         monkeypatch.setattr(cli, "sph_bessel_zero", failing_zero)
         assert main(["specfun", "eval", "--fn", "zero", "--l", "1", "--k", "170"]) == 2

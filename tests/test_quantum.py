@@ -99,10 +99,13 @@ class TestStateDensities:
 
     def test_irregular_branch_origin_limit(self):
         state = qm.radial_state(1, 0, branch="N0")
-        got = qm.state_density_values(state, np.array([0.0, 1e-9, 0.3]))
-        assert got[0] == pytest.approx(2.0, rel=1e-12)  # 2 cos^2(pi r) -> 2
-        assert got[1] == pytest.approx(2.0, rel=1e-9)
-        assert got[2] == pytest.approx(2 * math.cos(0.3 * PI) ** 2, rel=1e-12)
+        # n_0^2 overflows while r^2 underflows below r ~ 1e-154
+        r = np.array([0.0, 1e-310, 1e-300, 1e-9, 0.3])
+        got = qm.state_density_values(state, r)
+        np.testing.assert_allclose(got[:3], 2.0, rtol=1e-12)  # 2 cos^2(pi r) -> 2
+        assert got[3] == pytest.approx(2.0, rel=1e-9)
+        assert got[4] == pytest.approx(2 * math.cos(0.3 * PI) ** 2, rel=1e-12)
+        np.testing.assert_allclose(qm.mean_density_values(1, 0, r[:3]), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("branch", ["H1", "H2"])
     def test_hankel_branches_constant(self, branch):

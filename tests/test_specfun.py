@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sphwell import specfun as sf
 from sphwell.numerics import NumericalError
@@ -72,6 +75,21 @@ class TestSphBesselJ:
             want = float(mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(l + mp.mpf(1) / 2, x))
             assert sf.sph_bessel_j(l, x) == pytest.approx(want, rel=1e-12)
 
+    @given(l=st.integers(0, 2000), x=st.floats(0.0, 2000.0))
+    def test_against_mpmath_every_regime(self, l, x):
+        # series (x < 0.5), upward (x >= l) and Miller (0.5 <= x < l) alike
+        got = sf.sph_bessel_j(l, x)
+        if x == 0.0:
+            assert got == (1.0 if l == 0 else 0.0)
+            return
+        with mpmath.workdps(30):
+            want = float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
+                         * mpmath.besselj(l + mpmath.mpf(1) / 2, x))
+        if abs(want) > 1e-280:
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert abs(got) <= 1e-280
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             sf.sph_bessel_j(-1, 1.0)
@@ -114,6 +132,16 @@ class TestSphBesselJBatch:
         for i, x in enumerate(xs):
             np.testing.assert_allclose(tbl[:, i], sf.sph_bessel_j_all(30, float(x)), rtol=1e-12, atol=0)
 
+    @given(xs=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=8))
+    def test_sum_rule(self, xs):
+        # sum_l (2l+1) j_l(x)^2 = 1 (DLMF 10.60.9); past l = x + 10 x^(1/3)
+        # the terms have fallen below 1e-26
+        xs = np.array(xs)
+        l_max = math.ceil(xs.max() + 10.0 * xs.max() ** (1.0 / 3.0)) + 20
+        tbl = sf.sph_bessel_j_table(l_max, xs)
+        ls = np.arange(l_max + 1)[:, None]
+        np.testing.assert_allclose(np.sum((2 * ls + 1) * tbl**2, axis=0), 1.0, rtol=1e-13)
+
     def test_rescaling_regime_underflows_cleanly(self):
         # tiny argument, high order: the sweep spans hundreds of decades
         tbl = sf.sph_bessel_j_all(400, 0.7)
@@ -139,6 +167,13 @@ class TestSphBesselN:
         with pytest.raises(ValueError):
             sf.sph_bessel_n(1, -2.0)
 
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_non_finite_rejected(self, l):
+        # n_0(inf) used to come back NaN
+        for x in (float("inf"), float("nan"), np.array([1.0, float("inf")])):
+            with pytest.raises(ValueError, match="finite"):
+                sf.sph_bessel_n(l, x)
+
     def test_array_argument(self):
         x = np.array([0.5, 1.0, 2.0])
         np.testing.assert_allclose(sf.sph_bessel_n(2, x), sps.spherical_yn(2, x), rtol=1e-12)
@@ -149,6 +184,13 @@ class TestSphBesselN:
             sf.sph_bessel_n(300, 1.0)
         with pytest.raises(NumericalError, match=r"first at x = 0\.5\b"):
             sf.sph_bessel_n(300, np.array([400.0, 0.5, 1.0]))
+
+
+    def test_order_zero_overflow_raises(self):
+        # n_0(x) = -cos(x)/x leaves the binary64 range below x = 5.6e-309
+        assert sf.sph_bessel_n(0, 1e-300) == pytest.approx(-1e300, rel=1e-15)
+        with pytest.raises(NumericalError, match=r"l = 0, first at x = 1e-310\b"):
+            sf.sph_bessel_n(0, 1e-310)
 
 
 class TestWronskian:
@@ -316,6 +358,29 @@ class TestSphBesselZero:
         want = float(mp.besseljzero(l + 0.5, k))
         assert want > 512
         assert sf.sph_bessel_zero(l, k) == pytest.approx(want, rel=1e-13)
+
+    @given(l=st.integers(1, 150), k=st.integers(1, 150))
+    def test_against_mpmath_with_interlacing(self, l, k):
+        z = sf.sph_bessel_zero(l, k)
+        assert z == pytest.approx(float(mpmath.besseljzero(l + mpmath.mpf(1) / 2, k)), rel=1e-13)
+        assert z < sf.sph_bessel_zero(l + 1, k) < sf.sph_bessel_zero(l, k + 1)
+
+    @pytest.mark.parametrize("l,k,want", [
+        # mpmath.besseljzero(l + 1/2, k) at 30 digits; (500, 1) alone takes
+        # mpmath 38 s, so the values are pinned rather than recomputed
+        (200, 1, 211.538055888857157),
+        (500, 1, 515.364176424731040),
+    ])
+    def test_first_zero_at_high_order(self, l, k, want):
+        assert sf.sph_bessel_zero(l, k) == pytest.approx(want, rel=1e-13)
+
+    def test_first_zero_at_order_ceiling(self):
+        # scipy's spherical_jn, an independent evaluator, changes sign there
+        l = sf.ORDER_CEILING
+        z = sf.sph_bessel_zero(l, 1)
+        assert l + 0.5 < z
+        below, above = sps.spherical_jn(l, [z * (1.0 - 1e-12), z * (1.0 + 1e-12)])
+        assert below > 0.0 > above
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
