@@ -18,7 +18,9 @@ quantum    level structure, per-state and degeneracy-weighted densities
 cli        command-line interface emitting reproducible CSV and SVG
 """
 
-from . import classical, cli, numerics, quantum, specfun
+import importlib
+
+from . import classical, numerics, quantum, specfun
 from .classical import (
     McConfig,
     classical_total_density,
@@ -52,3 +54,10 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m sphwell.cli`` finds it unloaded
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module 'sphwell' has no attribute {name!r}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DensityCurve, NumericalError, integrate, integrate_composite
-from .specfun import sph_bessel_j_all, sph_bessel_j_table, sph_bessel_zero
+from .specfun import sph_bessel_j_all, sph_bessel_zero, weighted_square_sum
 
 __all__ = [
     "WELL_RADIUS",
@@ -62,18 +62,11 @@ MASS = 1.0
 
 BRANCHES = ("J", "N0", "H1", "H2")
 
-# Radii per Bessel-table slab; keeps peak memory at ~(l_max+1) * _CHUNK doubles
-# even for n = 1000 (l_max = 3141) on long grids.
-_CHUNK = 2048
-
-
-def _chunked_table_row(l, x):
-    """Row l of the j-table over a 1-D array, built in bounded slabs."""
-    out = np.empty_like(x)
-    for start in range(0, x.size, _CHUNK):
-        stop = min(start + _CHUNK, x.size)
-        out[start:stop] = sph_bessel_j_table(l, x[start:stop])[l]
-    return out
+def _j_squared(l, x):
+    """j_l(x)^2 over a 1-D array, streamed: no table of lower orders is kept."""
+    c = np.zeros(l + 1)
+    c[l] = 1.0
+    return weighted_square_sum(l, x, c)
 
 
 def _check_n(n):
@@ -181,8 +174,7 @@ def _norm_integral_quadrature(n, l, tol=1e-12):
     k = n * math.pi
 
     def integrand(r):
-        tbl = sph_bessel_j_table(l, k * r)
-        return tbl[l] ** 2 * r * r
+        return _j_squared(l, k * r) * r * r
 
     return integrate(integrand, 0.0, 1.0, tol)
 
@@ -264,8 +256,7 @@ def state_density_values(state, r):
     k = n * math.pi
     x = k * r
     if branch == "J":
-        jl = _chunked_table_row(l, x)
-        return a2 * jl * jl * r * r
+        return a2 * _j_squared(l, x) * r * r
     if branch == "N0":
         # n_0(x)^2 r^2 = cos(x)^2 / k^2: r^2 cancels the pole, and n_0^2 alone
         # would overflow while r^2 underflows at tiny r
@@ -306,9 +297,11 @@ def mean_radial_density(n, l, grid):
 def total_density_values(n, r):
     """Degeneracy-weighted total radial density of level n at radii ``r``.
 
-    One batch Bessel sweep per radius covers every allowed l; the weighted
-    l-sum is accumulated by numpy pairwise summation in ascending l, so
-    results do not depend on any parallel schedule.
+    The l = 0 pair averages to the constant 1; the orders l >= 1 are one
+    ``weighted_square_sum`` with c_l = w_l A_l^2, accumulated in the
+    Bessel sweep in sweep order (descending l in Miller's regime), so
+    memory is O(len(r)) at any level and no result depends on a parallel
+    schedule.
     """
     spec = level_spec(n)
     r = np.asarray(r, dtype=float)
@@ -316,15 +309,9 @@ def total_density_values(n, r):
         raise ValueError("radii must lie in [0, 1]")
     total = spec.weights[0] * mean_density_values(n, 0, r)
     if spec.l_max >= 1:
-        a2 = normalization_constants_sq_all(n)
-        wa2 = spec.weights[1:, None] * a2[1:, None]
-        for start in range(0, r.size, _CHUNK):
-            stop = min(start + _CHUNK, r.size)
-            rr = r[start:stop]
-            tbl = sph_bessel_j_table(spec.l_max, spec.k * rr)
-            # shape (npoints, l_max): contiguous reduction axis => pairwise sum
-            terms = (wa2 * tbl[1:] ** 2).T * (rr * rr)[:, None]
-            total[start:stop] += np.sum(terms, axis=1)
+        c = spec.weights * normalization_constants_sq_all(n)
+        c[0] = 0.0
+        total += weighted_square_sum(spec.l_max, spec.k * r, c) * (r * r)
     return total
 
 
@@ -382,7 +369,7 @@ def centrifugal_expectation(n, l, tol=1e-10):
     k = n * math.pi
 
     def integrand(r):
-        return sph_bessel_j_table(l, k * r)[l] ** 2
+        return _j_squared(l, k * r)
 
     return 0.5 * l * (l + 1) * a2 * integrate(integrand, 0.0, 1.0, tol)
 
@@ -403,8 +390,7 @@ def conventional_density_values(n_r, l, r):
         raise ValueError("radii must lie in [0, 1]")
     beta = sph_bessel_zero(l, n_r)
     c2 = 2.0 / sph_bessel_j_all(l + 1, beta)[l + 1] ** 2
-    jl = _chunked_table_row(int(l), beta * r)
-    return c2 * jl * jl * r * r
+    return c2 * _j_squared(int(l), beta * r) * r * r
 
 
 def conventional_radial_density(n_r, l, grid):

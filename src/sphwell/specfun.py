@@ -4,20 +4,25 @@ Stable evaluation of the spherical Bessel functions j_l and n_l, the
 order-zero spherical Hankel functions, associated Legendre functions,
 complex spherical harmonics, and positive zeros of j_l.
 
-``sph_bessel_j_table`` is the only evaluator of j_l; the scalar
-``sph_bessel_j``, ``sph_bessel_j_all`` and the zero finder all call it.
-It fills every order 0 .. l_max at once and picks a regime per point:
+Every value of j_l comes from the ascending series below x = 0.5 or from
+one recurrence sweep (``_sweep``) above it.  The sweep hands each order's
+row to a consumer: ``sph_bessel_j_table`` stores the rows, for
+the few-point callers (``sph_bessel_j``, ``sph_bessel_j_all`` and the
+zero finder); ``weighted_square_sum`` adds c_l j_l^2 as each row appears,
+so the density sums over a grid need O(len(x)) memory at any order.  The
+regime is picked per point:
 
 * ascending power series (60 terms) for ``0 < x < 0.5``, with the
   prefactor x^l/(2l+1)!! carried in log space so deep-evanescent values
-  underflow to zero instead of raising;
+  underflow to zero instead of raising; rows stop where every point
+  underflows;
 * upward recurrence from the closed forms of j_0, j_1 when ``x >= l_max``
   (stable while the order stays below the argument);
 * Miller's downward recurrence otherwise: start at order
   ``l_max + max(20, ceil(sqrt(40 l_max)))``, seed with (0, 1), recur down,
   and renormalize against the closed form of j_0 (or j_1 when j_0 sits
-  near a zero of sin).  The raw sweep is rescaled by 1e-280 whenever it
-  grows past 1e+280 so it never overflows.
+  near a zero of sin).  The working pair is scaled by 2^-450 whenever it
+  passes 2^450, so neither it nor its square ever overflows.
 
 Deep evanescent values (l much larger than x) may underflow to exactly
 zero; callers that sum densities can ignore them at grid resolution.
@@ -36,6 +41,7 @@ __all__ = [
     "sph_bessel_j",
     "sph_bessel_j_all",
     "sph_bessel_j_table",
+    "weighted_square_sum",
     "sph_bessel_n",
     "sph_hankel0",
     "assoc_legendre",
@@ -46,10 +52,16 @@ __all__ = [
 # Largest supported order; recurrence cost and cache sizes are linear in l.
 ORDER_CEILING = 100_000
 
-_OVERFLOW_GUARD = 1e280
-_RESCALE = 1e-280
+# A sweep rescales its working pair by an exact power of two; squares of the
+# pair stay below 2^900, so a sum of squares can be carried along.
+_GUARD_EXP = 450
+_GUARD = 2.0**_GUARD_EXP
+_RESCALE = 2.0**-_GUARD_EXP
+_RESCALE_SQUARED = 2.0 ** (-2 * _GUARD_EXP)
 _SERIES_TABLE_CUTOFF = 0.5
 _SERIES_TERMS = 60
+# exp() of anything below this is 0.0: the smallest subnormal is e^-744.4
+_LN_UNDERFLOW = -746.0
 
 
 class ZeroBracketError(NumericalError):
@@ -119,13 +131,7 @@ def sph_bessel_j_all(l_max, x):
     return sph_bessel_j_table(l_max, np.array([x]))[:, 0]
 
 
-def sph_bessel_j_table(l_max, x):
-    """j_l(x_i) for every order ``l <= l_max`` and every point of a 1-D array.
-
-    Returns an array of shape ``(l_max + 1, len(x))``; row l holds j_l.
-    This is the batch evaluator behind the degeneracy-weighted density
-    sums, vectorized across grid points.
-    """
+def _check_sweep_args(l_max, x):
     l_max = _check_order(l_max)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -134,107 +140,193 @@ def sph_bessel_j_table(l_max, x):
         raise ValueError("arguments must be finite and not NaN")
     if x.size and (x < 0).any():
         raise ValueError("arguments must be non-negative")
+    return l_max, x
 
+
+def _regimes(l_max, x):
+    """Masks of the points at x = 0, in the series, upward and Miller regimes."""
+    swept = x >= _SERIES_TABLE_CUTOFF
+    return x == 0.0, (x > 0.0) & ~swept, swept & (x >= l_max), swept & (x < l_max)
+
+
+def sph_bessel_j_table(l_max, x):
+    """j_l(x_i) for every order ``l <= l_max`` and every point of a 1-D array.
+
+    Returns an array of shape ``(l_max + 1, len(x))``; row l holds j_l.
+    It serves callers that need signed values at a few points
+    (``sph_bessel_j``, ``sph_bessel_j_all``, the zero scan).  Sums of
+    squares over a grid go through ``weighted_square_sum``, which runs the
+    same sweep without storing its rows.
+    """
+    l_max, x = _check_sweep_args(l_max, x)
     out = np.zeros((l_max + 1, x.size))
-    zero = x == 0.0
+    zero, small, up, down = _regimes(l_max, x)
     out[0, zero] = 1.0
-
-    small = (x > 0.0) & (x < _SERIES_TABLE_CUTOFF)
     if small.any():
-        out[:, small] = _series_j_rows(l_max, x[small])
-
-    up = (x >= _SERIES_TABLE_CUTOFF) & (x >= l_max)
-    if up.any():
-        out[:, up] = _upward_rows(l_max, x[up])
-
-    down = (x >= _SERIES_TABLE_CUTOFF) & (x < l_max)
-    if down.any():
-        out[:, down] = _miller_rows(l_max, x[down])
-
+        rows = _series_rows(l_max, x[small])
+        out[: len(rows), small] = rows
+    for mask, upward in ((up, True), (down, False)):
+        if mask.any():
+            out[:, mask] = _table_rows(l_max, x[mask], upward)
     return out
 
 
-def _series_j_rows(l_max, x):
-    ls = np.arange(l_max + 1, dtype=float)[:, None]
+def weighted_square_sum(l_max, x, c):
+    """Sum over l = 0 .. l_max of c_l j_l(x_i)^2, for every point of a 1-D array.
+
+    ``c`` holds one finite coefficient per order.  Each term is added in
+    the sweep step that produces j_l, so memory is O(len(x)) whatever
+    ``l_max`` is; the values agree with ``c @ sph_bessel_j_table(l_max,
+    x) ** 2`` to rounding.  ``c`` is scaled by a power of two to below 1
+    for the sweep and back afterwards, so no finite ``c`` overflows it.
+    """
+    l_max, x = _check_sweep_args(l_max, x)
+    c = np.asarray(c, dtype=float)
+    if c.shape != (l_max + 1,) or not np.isfinite(c).all():
+        raise ValueError(f"need one finite coefficient per order 0 .. {l_max}")
+    _, exponent = math.frexp(float(np.abs(c).max()))
+    c = np.ldexp(c, -exponent)
+    out = np.zeros(x.size)
+    zero, small, up, down = _regimes(l_max, x)
+    out[zero] = c[0]
+    if small.any():
+        rows = _series_rows(l_max, x[small])
+        out[small] = c[: len(rows)] @ (rows * rows)
+    for mask, upward in ((up, True), (down, False)):
+        if mask.any():
+            out[mask] = _square_sum(l_max, x[mask], c, upward)
+    return np.ldexp(out, exponent)
+
+
+def _series_rows(l_max, x):
+    """Table rows 0 .. top at points 0 < x < 0.5 from the ascending series.
+
+    The prefactor x^l/(2l+1)!! is carried in log space and falls with l,
+    so the rows stop at the first order where it underflows to zero at
+    the largest point; every higher row is zero at every point.
+    """
+    log_top = math.log(float(x.max()))
+    ln_df = []
+    for l in range(l_max + 1):
+        value = _ln_odd_double_factorial(l)
+        if l * log_top - value < _LN_UNDERFLOW:
+            break
+        ln_df.append(value)
+    ls = np.arange(len(ln_df), dtype=float)[:, None]
     y = 0.5 * x * x
-    term = np.ones((l_max + 1, x.size))
+    term = np.ones((ls.size, x.size))
     total = np.ones_like(term)
     for k in range(1, _SERIES_TERMS + 1):
         term *= -y / (k * (2.0 * ls + 2.0 * k + 1.0))
         total += term
-    ln_df = np.array([_ln_odd_double_factorial(l) for l in range(l_max + 1)])
-    ln_pref = ls * np.log(x) - ln_df[:, None]
+    ln_pref = ls * np.log(x) - np.array(ln_df)[:, None]
     with np.errstate(under="ignore"):
         return np.exp(ln_pref) * total
-
-
-def _upward_rows(l_max, x):
-    out = np.empty((l_max + 1, x.size))
-    out[0] = np.sin(x) / x
-    if l_max == 0:
-        return out
-    out[1] = out[0] / x - np.cos(x) / x
-    for m in range(1, l_max):
-        out[m + 1] = (2 * m + 1) / x * out[m] - out[m - 1]
-    return out
 
 
 def _miller_pad(l):
     return max(20, math.ceil(math.sqrt(40.0 * l)))
 
 
-def _miller_rows(l_max, x):
-    """Vectorized Miller sweep over columns of x.
+def _sweep(l_max, x, visit, upward):
+    """The recurrence behind every j_l at points x >= 0.5; rows go to ``visit``.
 
-    The raw sequence spans up to thousands of decades for small x, so the
-    working pair is rescaled by 1e-280 at the 1e+280 guard and each column
-    keeps an event counter; stored rows remember the count at store time
-    and are rebuilt afterwards in a fixed number of passes (a row that is
-    two events behind the final scale sits at the very bottom of the
-    binary64 range; three or more behind is a true underflow to zero).
+    Upward (every x >= l_max): from the closed forms of j_0 and j_1, stable
+    while the order stays below the argument.  Otherwise Miller: seed
+    (0, 1) at order ``l_max + _miller_pad(l_max)`` and recur down to 0.
+    The raw sequence can span thousands of decades, so a column whose
+    working pair passes 2^450 has both values scaled by 2^-450, exactly.
+
+    Calls ``visit(l, raw, rescaled)`` once per order l <= l_max, in sweep
+    order; ``rescaled`` is the mask of columns scaled at this step, or
+    None.  Returns ``(j0, j1, scale)``: the closed forms, and the Miller
+    normalization (None upward).  With e the column's rescale events after
+    ``visit(l)``, j_l = raw * scale * 2^(-450 e).  ``scale`` matches the
+    raw row 0 to j_0, or row 1 to j_1 where j_0 is the smaller (near a zero
+    of sin); rows 0 and 1 are then only envelope-accurate, so consumers
+    take j0 and j1 from the closed forms.
     """
-    start = l_max + _miller_pad(l_max)
-    out = np.zeros((l_max + 1, x.size))
-    store_events = np.zeros((l_max + 1, x.size), dtype=np.int16)
-    events = np.zeros(x.size, dtype=np.int16)
-    j_up = np.zeros(x.size)
-    j_cur = np.ones(x.size)
-    raw_1 = np.zeros(x.size)
-    events_1 = np.zeros(x.size, dtype=np.int16)
-    with np.errstate(under="ignore", divide="ignore", invalid="ignore"):
-        for m in range(start, 0, -1):
-            j_up, j_cur = j_cur, (2 * m + 1) / x * j_cur - j_up
-            big = np.abs(j_cur) > _OVERFLOW_GUARD
-            if big.any():
-                j_cur[big] *= _RESCALE
-                j_up[big] *= _RESCALE
-                events[big] += 1
-            if m - 1 <= l_max:
-                out[m - 1] = j_cur
-                store_events[m - 1] = events
-            if m - 1 == 1:
-                raw_1 = j_cur.copy()
-                events_1 = events.copy()
-        raw_0 = j_cur
-        j0 = np.sin(x) / x
-        j1 = j0 / x - np.cos(x) / x
-        # bring raw_1 to the final scale (at most one event separates it)
-        raw_1 = np.where(events > events_1, raw_1 * _RESCALE, raw_1)
-        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / raw_0, j1 / raw_1)
-        # out_final = raw * RESCALE^(events - store_events) * scale, ordered
-        # so every intermediate stays inside the binary64 range
-        behind = store_events
-        np.subtract(events[None, :], behind, out=behind)
-        out[behind >= 1] *= _RESCALE
-        out *= scale
-        out[behind >= 2] *= _RESCALE
-        out[behind >= 3] = 0.0
-        # rows 0 and 1 have exact closed forms; the swept values are only
-        # envelope-accurate next to their zero crossings
-        out[0] = j0
+    j0 = np.sin(x) / x
+    j1 = j0 / x - np.cos(x) / x
+    if upward:
+        visit(0, j0, None)
         if l_max >= 1:
-            out[1] = j1
+            visit(1, j1, None)
+        lo, hi, orders, step = j0, j1, range(1, l_max), 1
+    else:
+        lo, hi = np.zeros(x.size), np.ones(x.size)
+        orders, step = range(l_max + _miller_pad(l_max), 0, -1), -1
+    for m in orders:
+        lo, hi = hi, (2 * m + 1) / x * hi - lo
+        rescaled = None
+        if not upward:
+            big = np.abs(hi) > _GUARD
+            if big.any():
+                rescaled = big
+                hi[big] *= _RESCALE
+                lo[big] *= _RESCALE
+        if m + step <= l_max:
+            visit(m + step, hi, rescaled)
+    if upward:
+        return j0, j1, None
+    use0 = np.abs(j0) >= np.abs(j1)
+    return j0, j1, np.where(use0, j0, j1) / np.where(use0, hi, lo)
+
+
+def _table_rows(l_max, x, upward):
+    """Rows 0 .. l_max at points of one sweep regime.
+
+    A Miller row still owes 2^-450 for each rescale event of its column
+    after it was stored; ``ldexp`` pays that in one rounding, so rows far
+    behind underflow to exactly zero.
+    """
+    out = np.empty((l_max + 1, x.size))
+    if upward:
+        def keep(l, raw, rescaled):
+            out[l] = raw
+    else:
+        events = np.zeros(x.size, dtype=np.int16)
+        stored = np.empty(out.shape, dtype=np.int16)
+
+        def keep(l, raw, rescaled):
+            if rescaled is not None:
+                events[rescaled] += 1
+            out[l] = raw
+            stored[l] = events
+
+    j0, j1, scale = _sweep(l_max, x, keep, upward)
+    if scale is not None:
+        owed = (events - stored).astype(np.int32) * -_GUARD_EXP
+        out = np.ldexp(out * scale, owed)
+    out[0] = j0
+    if l_max >= 1:
+        out[1] = j1
     return out
+
+
+def _square_sum(l_max, x, c, upward):
+    """Sum of c_l j_l^2, |c_l| < 1, at points of one sweep regime.
+
+    In Miller's sweep the accumulator holds squares of raw rows (each below
+    2^900): it is scaled by 2^-900 wherever the working pair is scaled by
+    2^-450, and by the normalization twice at the end.
+    """
+    acc = np.zeros(x.size)
+
+    def add(l, raw, rescaled):
+        if rescaled is not None:
+            acc[rescaled] *= _RESCALE_SQUARED
+        if l >= 2 and c[l] != 0.0:
+            acc[:] += c[l] * (raw * raw)
+
+    j0, j1, scale = _sweep(l_max, x, add, upward)
+    if scale is not None:
+        acc *= scale
+        acc *= scale
+    acc += c[0] * (j0 * j0)
+    if l_max >= 1:
+        acc += c[1] * (j1 * j1)
+    return acc
 
 
 def sph_bessel_n(l, x):

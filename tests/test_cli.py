@@ -273,14 +273,16 @@ class TestSpecfunEval:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self):
+    @pytest.mark.parametrize("module", ["sphwell", "sphwell.cli"])
+    def test_python_dash_m(self, module):
         src = os.path.dirname(os.path.dirname(os.path.abspath(sphwell.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "sphwell", "quantum", "level", "--n", "1"],
+        proc = subprocess.run([sys.executable, "-m", module, "quantum", "level", "--n", "1"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "l_max = 2" in proc.stdout
+        assert proc.stderr == ""
 
 
 class TestReproducibility:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sphwell import numerics as nm
 from sphwell import quantum as qm
@@ -183,6 +185,30 @@ class TestTotalDensity:
     def test_boundary_region_populated(self, n):
         assert qm.total_density_values(n, np.array([0.999]))[0] > 1.0
 
+    def test_level_ten_thousand_against_scipy(self):
+        # one radius per regime: series (x < 0.5), Miller (x < l_max) and
+        # upward (x = k >= l_max); the oracle is AMOS J_{l+1/2} summed by fsum,
+        # good to ~1e-11 at these orders
+        from scipy.special import jv
+
+        n = 10_000
+        k = n * PI
+        l_max = qm.allowed_l_max(n)
+        ls = np.arange(l_max + 2)
+
+        def sph_j(x):
+            return math.sqrt(PI / (2.0 * x)) * jv(ls + 0.5, x)
+
+        jk = sph_j(k)
+        a2 = 2.0 / (jk[1:-1] ** 2 - jk[:-2] * jk[2:])
+        degeneracy = (l_max + 1) ** 2 + 1
+        weights = (2.0 * ls[1:-1] + 1.0) / degeneracy
+        radii = np.array([1e-5, 0.3, 0.77, 0.999, 1.0])
+        got = qm.total_density_values(n, radii)
+        for r, value in zip(radii, got):
+            want = 2.0 / degeneracy + math.fsum(weights * a2 * sph_j(k * r)[1:-1] ** 2 * r * r)
+            assert value == pytest.approx(want, rel=1e-10)
+
     def test_curve_wrapper(self):
         grid = nm.uniform_grid(1.0, 64)
         curve = qm.total_radial_density(1, grid)
@@ -214,6 +240,14 @@ class TestSizedMassRule:
         mass = qm.density_mass(lambda r: qm.state_density_values(state, r),
                                oscillations=2 * n)
         assert abs(mass - 1.0) <= 1e-13
+
+    @given(n=st.integers(1, 200), u=st.floats(0.0, 1.0))
+    def test_unit_mass_every_allowed_l(self, n, u):
+        l = min(int(u * (qm.allowed_l_max(n) + 1)), qm.allowed_l_max(n))
+        state = qm.radial_state(n, l)
+        for values_fn in (lambda r: qm.state_density_values(state, r),
+                          lambda r: qm.mean_density_values(n, l, r)):
+            assert abs(qm.density_mass(values_fn, oscillations=2 * n) - 1.0) <= 1e-12
 
 
 def energy_balance(n, l):

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sphwell import specfun as sf
@@ -150,6 +150,73 @@ class TestSphBesselJBatch:
         assert tbl[400] == 0.0  # below binary64 range
 
 
+class TestWeightedSquareSum:
+    def test_one_order_is_the_squared_row(self):
+        xs = np.array([0.0, 0.2, 0.6, 3.0, 12.0, 40.0])
+        for l in (0, 1, 2, 7, 30):
+            c = np.zeros(31)
+            c[l] = 1.0
+            want = sf.sph_bessel_j_table(30, xs)[l] ** 2
+            np.testing.assert_allclose(sf.weighted_square_sum(30, xs, c), want, rtol=1e-13)
+
+    @pytest.mark.parametrize("l_max", [200, 2000])
+    def test_sum_rule_past_the_evanescent_cutoff(self, l_max):
+        # sum_l (2l+1) j_l(x)^2 = 1 (DLMF 10.60.9).  Every point lies far
+        # below l_max, so Miller's sweep rescales its pair many times on the
+        # way down and the accumulator must follow every event.
+        xs = np.array([0.0, 0.01, 0.49, 0.5, 0.6, 1.0, 3.0, 17.0, 60.0, 0.5 * l_max - 10.0])
+        ls = np.arange(l_max + 1)
+        got = sf.weighted_square_sum(l_max, xs, 2.0 * ls + 1.0)
+        np.testing.assert_allclose(got, 1.0, rtol=1e-13)
+
+    @given(xs=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=8))
+    def test_sum_rule(self, xs):
+        xs = np.array(xs)
+        l_max = math.ceil(xs.max() + 10.0 * xs.max() ** (1.0 / 3.0)) + 20
+        c = 2.0 * np.arange(l_max + 1) + 1.0
+        np.testing.assert_allclose(sf.weighted_square_sum(l_max, xs, c), 1.0, rtol=1e-13)
+
+    @given(l_max=st.integers(0, 400), seed=st.integers(0, 2**32 - 1),
+           xs=st.lists(st.floats(0.0, 600.0), min_size=1, max_size=8))
+    def test_matches_the_table(self, l_max, seed, xs):
+        # series (x < 0.5), Miller (0.5 <= x < l_max) and upward (x >= l_max)
+        xs = np.array(xs + [0.3, 0.7, 0.5 * l_max + 0.5, l_max + 0.5])
+        c = np.random.default_rng(seed).uniform(0.0, 1.0, l_max + 1)
+        squares = c[:, None] * sf.sph_bessel_j_table(l_max, xs) ** 2
+        want = np.sum(squares, axis=0)
+        got = sf.weighted_square_sum(l_max, xs, c)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_huge_coefficients_do_not_overflow(self):
+        xs = np.array([0.3, 2.0, 50.0, 150.0])
+        c = 2.0 * np.arange(201) + 1.0
+        got = sf.weighted_square_sum(200, xs, 1e300 * c)
+        np.testing.assert_allclose(got, 1e300, rtol=1e-13)
+
+    def test_memory_is_linear_in_points(self):
+        # the table of these arguments would hold 3001 x 4000 doubles (96 MB)
+        import tracemalloc
+
+        xs = np.linspace(0.0, 2900.0, 4000)
+        c = np.ones(3001)
+        tracemalloc.start()
+        try:
+            sf.weighted_square_sum(3000, xs, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * xs.nbytes
+
+    def test_rejects_bad_coefficients(self):
+        xs = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="coefficient"):
+            sf.weighted_square_sum(3, xs, np.ones(3))
+        with pytest.raises(ValueError, match="coefficient"):
+            sf.weighted_square_sum(3, xs, [1.0, float("nan"), 0.0, 0.0])
+        with pytest.raises(ValueError):
+            sf.weighted_square_sum(3, np.array([-1.0]), np.ones(4))
+
+
 class TestSphBesselN:
     def test_closed_forms(self):
         assert sf.sph_bessel_n(0, PI) == pytest.approx(1.0 / PI, rel=1e-14)
@@ -204,6 +271,21 @@ class TestWronskian:
         np_ = n[0] - (l + 2) / x * n[1]
         wronskian = j[1] * np_ - jp * n[1]
         assert abs(wronskian * x * x - 1.0) < 1e-10
+
+
+    @given(l=st.integers(1, 500), x=st.floats(1e-3, 2000.0))
+    def test_cross_product_dlmf(self, l, x):
+        # j_l n_{l-1} - j_{l-1} n_l = 1/x^2 (DLMF 10.50.1) wherever n_l is
+        # finite and far enough from the binary64 edge that j_{l-1} ~ 1/(x^2 n_l)
+        # is not subnormal
+        try:
+            n = [sf.sph_bessel_n(l - 1, x), sf.sph_bessel_n(l, x)]
+        except NumericalError:
+            n = [math.inf, math.inf]
+        assume(abs(n[1]) < 1e250)
+        j = sf.sph_bessel_j_all(l, x)[l - 1:]
+        cross = j[1] * n[0] - j[0] * n[1]
+        assert cross * x * x == pytest.approx(1.0, rel=1e-12)
 
 
 class TestHankel:
